@@ -257,8 +257,7 @@ func BenchmarkFig9(b *testing.B) {
 // Sharded multi-channel rig: the same 4-channel bandwidth workload stepped
 // serially (workers=1) and by worker goroutines. The schedule — and so the
 // simulated work — is identical in every variant; ns/op differences are pure
-// host-parallelism effects. On a multi-core host the parallel variants win
-// once channels >= 2; BENCH_2.json records the measured ratios.
+// host-parallelism effects. BENCH_3.json records the measured ratios.
 func benchSharded(b *testing.B, channels, workers int) {
 	b.Helper()
 	spec := dram.DDR3_1333_8x8()

@@ -15,9 +15,9 @@ import (
 
 // This file measures the sharded (parallel per-channel) rig against its own
 // serial schedule: identical topology, identical statistics (asserted, not
-// assumed), wall-clock compared across worker counts. This is the headline
-// claim of the parallel kernel work — determinism is free, speedup scales
-// with channels on a multi-core host — and the numbers land in BENCH_3.json.
+// assumed), wall-clock compared across worker counts. Determinism is free;
+// whether the extra workers pay depends on the host and the workload, and
+// the numbers land in BENCH_3.json.
 //
 // Honesty matters more than a flattering number: a host with fewer hardware
 // threads than workers cannot scale, so every row records whether it was

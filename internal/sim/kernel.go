@@ -317,34 +317,53 @@ func (k *Kernel) enqueue(ent qentry) {
 		copy((*slot)[i+1:], (*slot)[i:])
 		(*slot)[i] = ent
 	} else {
+		if len(*slot) == cap(*slot) {
+			compactSlot(slot)
+		}
 		//lint:allow hotalloc bucket backing arrays are warm after the first ring wrap (TestScheduleSteadyStateZeroAlloc)
 		*slot = append(*slot, ent)
 	}
 	k.inWindow++
 }
 
+// compactSlot drops the tombstones from an unsorted ring slot in place, so
+// a full slot is reused before it is grown. retreat leaves the tombstones of
+// the slots it does not scan in place; without this they would make those
+// slots grow.
+func compactSlot(slot *[]qentry) {
+	n := 0
+	for _, ent := range *slot {
+		if ent.live() {
+			(*slot)[n] = ent
+			n++
+		}
+	}
+	*slot = (*slot)[:n]
+}
+
 // retreat moves the window start back to bucket bn (still >= bucketOf(now)).
-// Ring entries whose bucket no longer fits the new window are evicted to the
-// far heap; tombstones are dropped. This only happens when an event is
-// scheduled between runs, behind a cursor parked at a future event, so the
-// full-ring sweep is off the hot path.
+// It runs whenever an event is scheduled behind a cursor that RunUntil
+// parked at a future event — on the sharded rig that is nearly every barrier
+// flush, so it is on the hot path and must cost O(gap), not O(ring).
+//
+// Moving the window from [cur, cur+N) to [bn, bn+N) evicts exactly the
+// buckets [bn+N, cur+N). Those occupy the slots of buckets [bn, cur), so
+// only min(cur-bn, N) slots are scanned; every live entry in them moves to
+// the far heap and tombstones are dropped. All other slots keep their
+// entries, which stay inside the new window.
 func (k *Kernel) retreat(bn int64) {
-	for i := range k.buckets {
-		slot := k.buckets[i][:0]
-		for _, ent := range k.buckets[i] {
-			if !ent.live() {
-				continue
-			}
-			if bucketOf(ent.when) >= bn+bucketCount {
+	gap := min(k.curBucket-bn, bucketCount)
+	for b := bn; b < bn+gap; b++ {
+		slot := &k.buckets[b&bucketMask]
+		for _, ent := range *slot {
+			if ent.live() {
 				ent.ev.inFar = true
 				k.far.push(ent)
 				k.farLive++
 				k.inWindow--
-			} else {
-				slot = append(slot, ent)
 			}
 		}
-		k.buckets[i] = slot
+		*slot = (*slot)[:0]
 	}
 	k.curBucket = bn
 	k.curIdx = 0

@@ -45,9 +45,10 @@ import (
 // The sharded topology is not timing-identical to MultiChannelRig: each
 // request pays one extra link hop each way (the lookahead latency), which
 // models the physical channel interconnect the single-kernel rig folds into
-// the crossbar. Sharding pays off once channels >= 2 and the per-quantum
-// event work outweighs barrier overhead; with one channel (or on a single
-// hardware thread) prefer Workers <= 1, which runs the same deterministic
+// the crossbar. Whether extra workers pay off depends on how much event work
+// a quantum holds against the barrier handoff (barrier.go); DESIGN.md §8
+// records the measured numbers. With one channel, or more workers than
+// hardware threads, prefer Workers <= 1, which runs the same deterministic
 // schedule without goroutine overhead.
 
 // ShardedConfig shapes a ShardedRig.
@@ -63,9 +64,11 @@ type ShardedConfig struct {
 	// Gens and Patterns pair up; one generator per entry.
 	Gens     []trafficgen.Config
 	Patterns []trafficgen.Pattern
-	// Workers is the number of worker goroutines stepping shards between
-	// barriers. 0 or 1 steps every shard on the calling goroutine; either
-	// way the schedule, and so every statistic, is identical.
+	// Workers is how many goroutines step shards between barriers, counting
+	// the goroutine that calls Step: it steps share 0 itself, and Workers-1
+	// more goroutines step the rest (capped at one per kernel). 0 or 1 steps
+	// every shard on the calling goroutine. Whatever the count, the
+	// schedule, and so every statistic, is identical.
 	//fp:skip worker-count independence is the contract: excluding it is what lets a checkpoint taken under -parallel 4 resume under -parallel 1
 	Workers int
 	// Lookahead is the one-way channel-link latency and the barrier
@@ -262,13 +265,6 @@ func (e *ShardPanicError) Error() string {
 	return s
 }
 
-// shardWorker is one persistent goroutine stepping a fixed subset of
-// kernels each quantum.
-type shardWorker struct {
-	limit chan sim.Tick
-	done  chan []ShardPanic // empty slice (as nil) on success
-}
-
 // ShardedSession is a steppable ShardedRig run: each Step advances every
 // shard one lookahead quantum and executes the barrier section, so between
 // Steps all kernels are parked at the barrier tick and every link outbox has
@@ -280,9 +276,11 @@ type ShardedSession struct {
 	deadline sim.Tick
 
 	kernels []*sim.Kernel
-	nw      int
-	workers []*shardWorker
-	steps   uint64
+	// shares[j] is what worker j steps: kernels j, j+nw, j+2nw, ... Share
+	// 0 is the coordinator's; bar runs the others and is nil with one share.
+	shares []*share
+	bar    *barrier
+	steps  uint64
 }
 
 // NewSession builds the rig's checkpoint manager and spins up the worker
@@ -319,40 +317,26 @@ func (r *ShardedRig) NewSession(fingerprint string, maxSim sim.Tick) (*ShardedSe
 		deadline: maxSim,
 		kernels:  append([]*sim.Kernel{r.Front}, r.Chans...),
 	}
-	s.nw = r.workers
-	if s.nw > len(s.kernels) {
-		s.nw = len(s.kernels)
-	}
-	if s.nw > 1 {
-		for j := 0; j < s.nw; j++ {
-			j := j
-			w := &shardWorker{limit: make(chan sim.Tick), done: make(chan []ShardPanic, 1)}
-			var mine []*sim.Kernel
-			var names []string
-			for i := j; i < len(s.kernels); i += s.nw {
-				mine = append(mine, s.kernels[i])
-				names = append(names, s.kernelName(i))
-			}
-			go func() {
-				for limit := range w.limit {
-					// Recover per kernel, not per batch: a panicking shard
-					// must not stop the worker from finishing its remaining
-					// kernels, and the handoff to the coordinator always
-					// completes — so the pool stays in a defined state and
-					// Close can never hang on a dead worker.
-					var pvs []ShardPanic
-					for i, k := range mine {
-						if pv := runShardKernel(k, limit); pv != nil {
-							pvs = append(pvs, ShardPanic{Worker: j, Kernel: names[i], Value: pv})
-						}
-					}
-					w.done <- pvs
-				}
-			}()
-			s.workers = append(s.workers, w)
-		}
+	nw := min(max(r.workers, 1), len(s.kernels))
+	s.shares = s.split(nw)
+	if nw > 1 {
+		s.bar = startBarrier(s.shares, spinRule(nw))
 	}
 	return s, nil
+}
+
+// split deals the kernels round-robin into nw shares.
+func (s *ShardedSession) split(nw int) []*share {
+	shares := make([]*share, nw)
+	for j := range shares {
+		shares[j] = &share{}
+	}
+	for i, k := range s.kernels {
+		sh := shares[i%nw]
+		sh.kernels = append(sh.kernels, k)
+		sh.names = append(sh.names, s.kernelName(i))
+	}
+	return shares
 }
 
 // kernelName labels s.kernels[i] for panic attribution.
@@ -361,14 +345,6 @@ func (s *ShardedSession) kernelName(i int) string {
 		return "front"
 	}
 	return fmt.Sprintf("chan%d", i-1)
-}
-
-// runShardKernel advances one kernel to the barrier, translating a panic
-// into a returned value.
-func runShardKernel(k *sim.Kernel, limit sim.Tick) (pv any) {
-	defer func() { pv = recover() }()
-	k.RunUntil(limit)
-	return nil
 }
 
 // Manager returns the checkpoint manager.
@@ -385,27 +361,24 @@ func (s *ShardedSession) Start() {
 	}
 }
 
-// stepKernels runs every kernel to the barrier tick. The channel send/receive
-// pairs give the coordinator-worker handoff the happens-before edges the
-// memory model (and the race detector) require. Shard panics are collected
-// from EVERY worker — the handoff always completes before anything is
-// re-raised — and re-thrown as one *ShardPanicError carrying worker and
-// kernel identity for each.
+// stepKernels runs every kernel to the barrier tick: the coordinator steps
+// share 0 while the workers step theirs (see barrier.go for the handoff).
+// Shard panics are collected from EVERY share — the handoff always
+// completes before anything is re-raised — and re-thrown in worker order as
+// one *ShardPanicError carrying worker and kernel identity for each.
+//
+//shard:barrier reads every share's panics once all workers have arrived
 func (s *ShardedSession) stepKernels(limit sim.Tick) {
+	if s.bar != nil {
+		s.bar.release(limit)
+	}
+	s.shares[0].run(0, limit)
+	if s.bar != nil {
+		s.bar.gather()
+	}
 	var pvs []ShardPanic
-	if s.nw <= 1 {
-		for i, k := range s.kernels {
-			if pv := runShardKernel(k, limit); pv != nil {
-				pvs = append(pvs, ShardPanic{Worker: 0, Kernel: s.kernelName(i), Value: pv})
-			}
-		}
-	} else {
-		for _, w := range s.workers {
-			w.limit <- limit
-		}
-		for _, w := range s.workers {
-			pvs = append(pvs, <-w.done...)
-		}
+	for _, sh := range s.shares {
+		pvs = append(pvs, sh.panics...)
 	}
 	if len(pvs) > 0 {
 		panic(&ShardPanicError{Panics: pvs})
@@ -521,14 +494,16 @@ func (s *ShardedSession) Step() (bool, error) {
 	return false, nil
 }
 
-// Close stops the worker goroutines. The rig itself stays usable (stats,
-// bandwidth queries); a new session may be opened afterwards.
+// Close stops the worker goroutines and returns once they have exited;
+// closing again is a no-op. The rig itself stays usable (stats, bandwidth
+// queries); a new session may be opened afterwards, and stepping this one
+// further runs every shard on the calling goroutine.
 func (s *ShardedSession) Close() {
-	for _, w := range s.workers {
-		close(w.limit)
+	if s.bar != nil {
+		s.bar.stop()
+		s.bar = nil
+		s.shares = s.split(1)
 	}
-	s.workers = nil
-	s.nw = 0
 }
 
 // Run starts all generators and steps the shards in lookahead-sized quanta
@@ -538,9 +513,9 @@ func (s *ShardedSession) Close() {
 func (r *ShardedRig) Run(maxSim sim.Tick) bool {
 	s, err := r.NewSession("", r.Front.Now()+maxSim)
 	if err != nil {
-		// Only a non-checkpointable component trips this, and Run never
-		// saves; fall back to a worker-less session shape is not possible,
-		// so surface it loudly.
+		// Only a non-checkpointable controller trips this. Run never saves,
+		// but a session is the only way to step the rig, so there is no
+		// fallback: surface it loudly.
 		panic(err)
 	}
 	defer s.Close()

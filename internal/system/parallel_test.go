@@ -294,8 +294,8 @@ func TestShardedMultiPanicAttribution(t *testing.T) {
 			if !strings.Contains(msg, "chan1") || !strings.Contains(msg, "chan3") {
 				t.Fatalf("error string drops a shard: %s", msg)
 			}
-			// deferred Close must return promptly; if a worker deadlocked on
-			// its done channel the test times out here.
+			// deferred Close must return promptly; if a worker deadlocked in
+			// the handoff the test times out here.
 		})
 	}
 }
