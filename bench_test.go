@@ -397,8 +397,9 @@ func BenchmarkControllerWithCommandTrace(b *testing.B) {
 
 // benchControllerProbes drives the event controller with a linear read
 // stream under the given probe hub, so the cost of the obs emission sites
-// can be compared across hub configurations.
-func benchControllerProbes(b *testing.B, hub *obs.Hub) {
+// can be compared across hub configurations. A non-nil tracer is drained
+// every 10 us of simulated time, as a trace sink would.
+func benchControllerProbes(b *testing.B, hub *obs.Hub, tracer *obs.Tracer) {
 	spec := dram.DDR3_1333_8x8()
 	k := sim.NewKernel()
 	reg := stats.NewRegistry("b")
@@ -419,6 +420,9 @@ func benchControllerProbes(b *testing.B, hub *obs.Hub) {
 	gen.Start()
 	for !gen.Done() {
 		k.RunUntil(k.Now() + 10*sim.Microsecond)
+		if tracer != nil {
+			tracer.TakePending()
+		}
 	}
 	b.StopTimer()
 	_ = ctrl
@@ -429,12 +433,23 @@ func benchControllerProbes(b *testing.B, hub *obs.Hub) {
 // check. The acceptance bar is throughput within 2% of the pre-hook
 // controller (compare against BenchmarkControllerWithCommandTrace for the
 // enabled cost, and historical Fig3 numbers for the pre-hook baseline).
-func BenchmarkNoProbeOverhead(b *testing.B) { benchControllerProbes(b, nil) }
+func BenchmarkNoProbeOverhead(b *testing.B) { benchControllerProbes(b, nil, nil) }
 
 // BenchmarkNullProbeAttached measures the fan-out cost with one attached
 // probe that does nothing — the floor for any enabled-probe configuration.
 func BenchmarkNullProbeAttached(b *testing.B) {
 	hub := obs.NewHub()
 	hub.Attach(obs.CommandFunc(func(power.Command) {}))
-	benchControllerProbes(b, hub)
+	benchControllerProbes(b, hub, nil)
+}
+
+// BenchmarkTracerAttached measures the Perfetto tracer's cost per request
+// (ns and allocs): the same stream as BenchmarkNullProbeAttached with the
+// lifecycle tracer as the one probe, drained like a trace sink drains it.
+func BenchmarkTracerAttached(b *testing.B) {
+	tracer := obs.NewTracer(0)
+	hub := obs.NewHub()
+	hub.Attach(tracer)
+	b.ReportAllocs()
+	benchControllerProbes(b, hub, tracer)
 }

@@ -48,8 +48,16 @@ if ! [ -f "$workdir/run.ckpt" ]; then
     kill -9 "$pid" 2>/dev/null || true
     exit 1
 fi
-kill -9 "$pid"
-wait "$pid" 2>/dev/null || true
+# The kill must land while the victim is still running: a run that already
+# finished would make the resume below replay a complete run and pass
+# vacuously.
+kill -9 "$pid" 2>/dev/null || true
+status=0
+wait "$pid" 2>/dev/null || status=$?
+if [ "$status" -ne 137 ]; then
+    echo "FAIL: the traced cycle run exited with status $status before the kill (want 137, killed); raise -requests" >&2
+    exit 1
+fi
 "$workdir/dramctrl" "${kargs[@]}" -trace "$workdir/crash.json" \
     -checkpoint "$workdir/run.ckpt" -resume >/dev/null 2>"$workdir/resume.log"
 grep -q "supervisor: resumed from" "$workdir/resume.log" || {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/mem"
 	"repro/internal/power"
@@ -33,15 +34,55 @@ import (
 // buffered per tracer and drained single-threadedly (TraceSink), so two
 // identical runs — and sharded runs with different worker counts — produce
 // byte-identical files.
+//
+// Cost: steady-state lines are rendered with plain appends into a reused
+// buffer — no fmt, no per-event strings, open spans held by value — so a
+// warmed tracer allocates nothing per event (TestTracerSteadyStateZeroAlloc).
+// Only the first use of a process or track, which writes its metadata
+// line, allocates.
 
 // traceTimeDiv converts kernel ticks (picoseconds) to the trace format's
 // microsecond timestamps: ts = tick / traceTimeDiv, with the remainder as
 // the 6-digit fraction.
 const traceTimeDiv = 1_000_000
 
-// appendTS appends a tick as a fixed-point microsecond timestamp.
+// appendTS appends a tick as a fixed-point microsecond timestamp: the
+// integer part, a dot, and the remainder zero-padded to six digits. The
+// bytes equal fmt's "%d.%06d" of quotient and remainder for every tick,
+// negative ones included (Go's remainder takes the dividend's sign, and
+// "%06d" counts that sign in the width).
 func appendTS(b []byte, t sim.Tick) []byte {
-	return fmt.Appendf(b, "%d.%06d", int64(t)/traceTimeDiv, int64(t)%traceTimeDiv)
+	q, r := int64(t)/traceTimeDiv, int64(t)%traceTimeDiv
+	b = append(strconv.AppendInt(b, q, 10), '.')
+	width := 6
+	if r < 0 {
+		b = append(b, '-')
+		r, width = -r, 5
+	}
+	var digits [6]byte
+	n := 0
+	for ; r > 0 || n < width; r /= 10 {
+		n++
+		digits[6-n] = byte('0' + r%10)
+	}
+	return append(b, digits[6-n:]...)
+}
+
+// appendQuote appends s as a JSON/Go string literal, byte for byte what
+// strconv.AppendQuote writes, without its per-rune decoding for the plain
+// ASCII names every steady-state line carries.
+func appendQuote(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' {
+			return strconv.AppendQuote(b, s)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// appendAddr appends an address the way every trace line spells it.
+func appendAddr(b []byte, a mem.Addr) []byte {
+	return strconv.AppendUint(append(b, "0x"...), uint64(a), 16)
 }
 
 // openSpan is one in-flight packet lifecycle.
@@ -88,11 +129,13 @@ type Tracer struct {
 	pids    map[string]int // src -> pid
 	tids    map[string]int // "pid|track" -> tid
 	nextTid map[int]int    // pid -> next tid
-	spans   map[spanKey]*openSpan
+	spans   map[spanKey]openSpan
 	drains  map[string]pendingDrain   // src -> open drain episode
 	powers  map[powerKey]pendingPower // src+rank -> open low-power interval
 	nextID  uint64                    // async span ids, trace-wide per tracer
 	buf     []byte                    // pending trace lines
+	spare   []byte                    // the buffer TakePending handed out last
+	key     []byte                    // scratch "pid|track" key for tid lookups
 }
 
 // NewTracer returns a tracer whose process ids start above pidBase. Give
@@ -104,16 +147,19 @@ func NewTracer(pidBase int) *Tracer {
 		pids:    make(map[string]int),
 		tids:    make(map[string]int),
 		nextTid: make(map[int]int),
-		spans:   make(map[spanKey]*openSpan),
+		spans:   make(map[spanKey]openSpan),
 		drains:  make(map[string]pendingDrain),
 		powers:  make(map[powerKey]pendingPower),
 	}
 }
 
-// TakePending returns the buffered trace bytes and resets the buffer.
+// TakePending returns the buffered trace bytes and starts an empty buffer.
+// The returned slice is valid until the next TakePending: the tracer
+// alternates between two buffers, so steady-state tracing never regrows
+// one, and a caller must write or copy the bytes before taking again.
 func (t *Tracer) TakePending() []byte {
 	b := t.buf
-	t.buf = nil
+	t.buf, t.spare = t.spare[:0], b
 	return b
 }
 
@@ -127,36 +173,93 @@ func (t *Tracer) pid(src string) int {
 	p := t.pidBase + t.nextPid
 	t.pids[src] = p
 	t.nextTid[p] = 1
-	t.buf = fmt.Appendf(t.buf, `{"name":"process_name","ph":"M","pid":%d,"args":{"name":%s}},`+"\n",
-		p, strconv.Quote(src))
+	b := strconv.AppendInt(append(t.buf, `{"name":"process_name","ph":"M","pid":`...), int64(p), 10)
+	b = appendQuote(append(b, `,"args":{"name":`...), src)
+	t.buf = append(b, "}},\n"...)
 	return p
 }
 
-// tid returns the thread (track) id for a named track of a process,
-// emitting the thread-name metadata line on first use.
+// tid returns the thread (track) id for a named track of a process.
 func (t *Tracer) tid(pid int, track string) int {
-	key := strconv.Itoa(pid) + "|" + track
-	if id, ok := t.tids[key]; ok {
+	t.key = append(t.trackKey(pid), track...)
+	return t.lookupTid(pid)
+}
+
+// rankTid is tid for the track "<prefix><rank>" ("refresh r0", "power r1").
+func (t *Tracer) rankTid(pid int, prefix string, rank int) int {
+	t.key = strconv.AppendInt(append(t.trackKey(pid), prefix...), int64(rank), 10)
+	return t.lookupTid(pid)
+}
+
+// bankTid is tid for the bank track "bank r<rank>b<bank>".
+func (t *Tracer) bankTid(pid, rank, bank int) int {
+	k := strconv.AppendInt(append(t.trackKey(pid), "bank r"...), int64(rank), 10)
+	t.key = strconv.AppendInt(append(k, 'b'), int64(bank), 10)
+	return t.lookupTid(pid)
+}
+
+// trackKey starts the scratch key "pid|" of a track of process pid.
+func (t *Tracer) trackKey(pid int) []byte {
+	return append(strconv.AppendInt(t.key[:0], int64(pid), 10), '|')
+}
+
+// lookupTid resolves the track named by the scratch key, emitting the
+// thread-name metadata line on first use. Lookups index the map with the
+// scratch bytes directly; only a new track allocates its key string.
+func (t *Tracer) lookupTid(pid int) int {
+	if id, ok := t.tids[string(t.key)]; ok {
 		return id
 	}
+	key := string(t.key)
 	id := t.nextTid[pid]
 	t.nextTid[pid] = id + 1
 	t.tids[key] = id
-	t.buf = fmt.Appendf(t.buf, `{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":%s}},`+"\n",
-		pid, id, strconv.Quote(track))
+	b := strconv.AppendInt(append(t.buf, `{"name":"thread_name","ph":"M","pid":`...), int64(pid), 10)
+	b = strconv.AppendInt(append(b, `,"tid":`...), int64(id), 10)
+	b = appendQuote(append(b, `,"args":{"name":`...), key[strings.IndexByte(key, '|')+1:])
+	t.buf = append(b, "}},\n"...)
 	return id
 }
 
 // head appends the common prefix of an event line up to and including the
 // timestamp.
 func (t *Tracer) head(name, cat, ph string, pid, tid int, at sim.Tick) {
-	t.buf = fmt.Appendf(t.buf, `{"name":%s,"cat":"%s","ph":"%s","pid":%d,"tid":%d,"ts":`,
-		strconv.Quote(name), cat, ph, pid, tid)
-	t.buf = appendTS(t.buf, at)
+	t.buf = appendQuote(append(t.buf, `{"name":`...), name)
+	t.fields(cat, ph, pid, tid, at)
 }
 
-// close terminates an event line.
-func (t *Tracer) close() { t.buf = append(t.buf, "},\n"...) }
+// pktHead is head for a packet span, named "<queue> 0x<addr>".
+func (t *Tracer) pktHead(q Queue, addr mem.Addr, ph string, pid, tid int, at sim.Tick) {
+	b := append(append(t.buf, `{"name":"`...), q.String()...)
+	t.buf = append(appendAddr(append(b, ' '), addr), '"')
+	t.fields("pkt", ph, pid, tid, at)
+}
+
+// fields appends the part of head after the name.
+func (t *Tracer) fields(cat, ph string, pid, tid int, at sim.Tick) {
+	b := append(append(t.buf, `,"cat":"`...), cat...)
+	b = append(append(b, `","ph":"`...), ph...)
+	b = strconv.AppendInt(append(b, `","pid":`...), int64(pid), 10)
+	b = strconv.AppendInt(append(b, `,"tid":`...), int64(tid), 10)
+	t.buf = appendTS(append(b, `,"ts":`...), at)
+}
+
+// arg and uarg append a JSON fragment ending in a key (`,"depth":`)
+// followed by an integer value.
+func (t *Tracer) arg(key string, v int) {
+	t.buf = strconv.AppendInt(append(t.buf, key...), int64(v), 10)
+}
+
+func (t *Tracer) uarg(key string, v uint64) {
+	t.buf = strconv.AppendUint(append(t.buf, key...), v, 10)
+}
+
+// dur appends a complete span's duration.
+func (t *Tracer) dur(d sim.Tick) { t.buf = appendTS(append(t.buf, `,"dur":`...), d) }
+
+// close terminates an event line; closeArgs also closes its args object.
+func (t *Tracer) close()     { t.buf = append(t.buf, "},\n"...) }
+func (t *Tracer) closeArgs() { t.buf = append(t.buf, "}},\n"...) }
 
 // HandleEvent implements Probe.
 func (t *Tracer) HandleEvent(ev Event) {
@@ -166,31 +269,34 @@ func (t *Tracer) HandleEvent(ev Event) {
 		tid := t.tid(pid, "packets")
 		t.nextID++
 		id := t.nextID
-		t.spans[spanKey{e.Src, e.Pkt}] = &openSpan{id: id, queue: e.Queue}
-		t.head(e.Queue.String()+" "+addrHex(e.Pkt.Addr), "pkt", "b", pid, tid, e.At)
-		t.buf = fmt.Appendf(t.buf, `,"id":%d,"args":{"addr":"%s","size":%d,"bursts":%d,"requestor":%d}`,
-			id, addrHex(e.Pkt.Addr), e.Pkt.Size, e.Bursts, e.Pkt.RequestorID)
-		t.close()
+		t.spans[spanKey{e.Src, e.Pkt}] = openSpan{id: id, queue: e.Queue}
+		t.pktHead(e.Queue, e.Pkt.Addr, "b", pid, tid, e.At)
+		t.uarg(`,"id":`, id)
+		t.buf = appendAddr(append(t.buf, `,"args":{"addr":"`...), e.Pkt.Addr)
+		t.uarg(`","size":`, e.Pkt.Size)
+		t.arg(`,"bursts":`, e.Bursts)
+		t.arg(`,"requestor":`, e.Pkt.RequestorID)
+		t.closeArgs()
 	case QueueAdmit:
 		pid := t.pid(e.Src)
-		tid := t.tid(pid, "queue."+e.Queue.String())
-		t.head("queue."+e.Queue.String(), "queue", "C", pid, tid, e.At)
-		t.buf = fmt.Appendf(t.buf, `,"args":{"depth":%d}`, e.Depth)
-		t.close()
+		track := "queue." + e.Queue.String()
+		tid := t.tid(pid, track)
+		t.head(track, "queue", "C", pid, tid, e.At)
+		t.arg(`,"args":{"depth":`, e.Depth)
+		t.closeArgs()
 	case QueueRefuse:
 		pid := t.pid(e.Src)
 		tid := t.tid(pid, "queue."+e.Queue.String())
 		t.head("refuse."+e.Queue.String(), "queue", "i", pid, tid, e.At)
-		t.buf = fmt.Appendf(t.buf, `,"s":"t","args":{"depth":%d}`, e.Depth)
-		t.close()
+		t.arg(`,"s":"t","args":{"depth":`, e.Depth)
+		t.closeArgs()
 	case DRAMCommand:
-		kind := e.Cmd.Kind.String()
-		switch kind {
-		case "PDE", "SRE":
+		switch e.Cmd.Kind {
+		case power.CmdPDE, power.CmdSRE:
 			// Low-power intervals render as spans on the rank's power track,
 			// opened here and closed by the matching PDX/SRX.
 			name := "SR"
-			if kind == "PDE" {
+			if e.Cmd.Kind == power.CmdPDE {
 				name = "PD(pre)"
 				if e.Cmd.Bank == power.PDActive {
 					name = "PD(act)"
@@ -198,7 +304,7 @@ func (t *Tracer) HandleEvent(ev Event) {
 			}
 			t.powers[powerKey{e.Src, e.Cmd.Rank}] = pendingPower{at: e.Cmd.At, name: name}
 			return
-		case "PDX", "SRX":
+		case power.CmdPDX, power.CmdSRX:
 			key := powerKey{e.Src, e.Cmd.Rank}
 			p, ok := t.powers[key]
 			if !ok {
@@ -206,13 +312,12 @@ func (t *Tracer) HandleEvent(ev Event) {
 			}
 			delete(t.powers, key)
 			pid := t.pid(e.Src)
-			tid := t.tid(pid, fmt.Sprintf("power r%d", e.Cmd.Rank))
+			tid := t.rankTid(pid, "power r", e.Cmd.Rank)
 			t.head(p.name, "power", "X", pid, tid, p.at)
-			t.buf = append(t.buf, `,"dur":`...)
-			t.buf = appendTS(t.buf, e.Cmd.At-p.at)
+			t.dur(e.Cmd.At - p.at)
 			t.close()
 			return
-		case "ACT", "PRE":
+		case power.CmdACT, power.CmdPRE:
 			// Instants on the bank track, below.
 		default:
 			// RD/WR render as bank-track spans via BurstScheduled; REF as a
@@ -220,28 +325,29 @@ func (t *Tracer) HandleEvent(ev Event) {
 			return
 		}
 		pid := t.pid(e.Src)
-		tid := t.tid(pid, fmt.Sprintf("bank r%db%d", e.Cmd.Rank, e.Cmd.Bank))
-		t.head(kind, "cmd", "i", pid, tid, e.Cmd.At)
+		tid := t.bankTid(pid, e.Cmd.Rank, e.Cmd.Bank)
+		t.head(e.Cmd.Kind.String(), "cmd", "i", pid, tid, e.Cmd.At)
 		t.buf = append(t.buf, `,"s":"t"`...)
 		t.close()
 	case BurstScheduled:
 		pid := t.pid(e.Src)
-		tid := t.tid(pid, fmt.Sprintf("bank r%db%d", e.Rank, e.Bank))
+		tid := t.bankTid(pid, e.Rank, e.Bank)
 		name := "WR"
 		if e.Read {
 			name = "RD"
 		}
 		t.head(name, "burst", "X", pid, tid, e.At)
-		t.buf = append(t.buf, `,"dur":`...)
-		t.buf = appendTS(t.buf, e.DataEnd-e.At)
-		t.buf = fmt.Appendf(t.buf, `,"args":{"row":%d}`, e.Row)
-		t.close()
+		t.dur(e.DataEnd - e.At)
+		t.uarg(`,"args":{"row":`, e.Row)
+		t.closeArgs()
 		if e.Pkt != nil {
-			if sp, ok := t.spans[spanKey{e.Src, e.Pkt}]; ok && !sp.cmdSeen {
+			key := spanKey{e.Src, e.Pkt}
+			if sp, ok := t.spans[key]; ok && !sp.cmdSeen {
 				sp.cmdSeen = true
+				t.spans[key] = sp
 				ptid := t.tid(pid, "packets")
 				t.head("firstCmd", "pkt", "n", pid, ptid, e.At)
-				t.buf = fmt.Appendf(t.buf, `,"id":%d`, sp.id)
+				t.uarg(`,"id":`, sp.id)
 				t.close()
 			}
 		}
@@ -254,17 +360,16 @@ func (t *Tracer) HandleEvent(ev Event) {
 		delete(t.spans, key)
 		pid := t.pid(e.Src)
 		tid := t.tid(pid, "packets")
-		t.head(sp.queue.String()+" "+addrHex(e.Pkt.Addr), "pkt", "e", pid, tid, e.At)
-		t.buf = fmt.Appendf(t.buf, `,"id":%d`, sp.id)
+		t.pktHead(sp.queue, e.Pkt.Addr, "e", pid, tid, e.At)
+		t.uarg(`,"id":`, sp.id)
 		t.close()
 	case RefreshStart:
 		pid := t.pid(e.Src)
-		track := fmt.Sprintf("refresh r%d", e.Rank)
-		t.head("REF", "refresh", "X", pid, t.tid(pid, track), e.At)
-		t.buf = append(t.buf, `,"dur":`...)
-		t.buf = appendTS(t.buf, e.Until-e.At)
-		t.buf = fmt.Appendf(t.buf, `,"args":{"bank":%d}`, e.Bank)
-		t.close()
+		tid := t.rankTid(pid, "refresh r", e.Rank)
+		t.head("REF", "refresh", "X", pid, tid, e.At)
+		t.dur(e.Until - e.At)
+		t.arg(`,"args":{"bank":`, e.Bank)
+		t.closeArgs()
 	case RefreshEnd:
 		// Rendered as part of the RefreshStart span.
 	case WriteDrainEnter:
@@ -276,22 +381,24 @@ func (t *Tracer) HandleEvent(ev Event) {
 		}
 		delete(t.drains, e.Src)
 		pid := t.pid(e.Src)
-		t.head("writeDrain", "drain", "X", pid, t.tid(pid, "drain"), d.at)
-		t.buf = append(t.buf, `,"dur":`...)
-		t.buf = appendTS(t.buf, e.At-d.at)
-		t.buf = fmt.Appendf(t.buf, `,"args":{"queueLen":%d,"writes":%d}`, d.queueLen, e.Writes)
-		t.close()
+		tid := t.tid(pid, "drain")
+		t.head("writeDrain", "drain", "X", pid, tid, d.at)
+		t.dur(e.At - d.at)
+		t.arg(`,"args":{"queueLen":`, d.queueLen)
+		t.arg(`,"writes":`, e.Writes)
+		t.closeArgs()
 	case ShardQuantumFlush:
 		pid := t.pid(e.Src)
-		t.head(fmt.Sprintf("flush.link%d", e.Shard), "quantum", "i", pid, t.tid(pid, "quantum"), e.At)
-		t.buf = fmt.Appendf(t.buf, `,"s":"t","args":{"shard":%d,"requests":%d,"responses":%d}`,
-			e.Shard, e.Requests, e.Responses)
-		t.close()
+		tid := t.tid(pid, "quantum")
+		t.buf = strconv.AppendInt(append(t.buf, `{"name":"flush.link`...), int64(e.Shard), 10)
+		t.buf = append(t.buf, '"')
+		t.fields("quantum", "i", pid, tid, e.At)
+		t.arg(`,"s":"t","args":{"shard":`, e.Shard)
+		t.arg(`,"requests":`, e.Requests)
+		t.arg(`,"responses":`, e.Responses)
+		t.closeArgs()
 	}
 }
-
-// addrHex formats an address the way every trace line does.
-func addrHex(a mem.Addr) string { return "0x" + strconv.FormatUint(uint64(a), 16) }
 
 // --- Checkpoint images -----------------------------------------------------
 //
@@ -388,7 +495,7 @@ func (t *Tracer) saveState(pt mem.PacketTable) (tracerState, error) {
 
 // restoreState rebuilds the tracer from a checkpoint image.
 func (t *Tracer) restoreState(pl mem.PacketLookup, st tracerState) error {
-	t.buf = nil
+	t.buf = t.buf[:0]
 	t.nextPid = st.NextPid
 	t.nextID = st.NextID
 	t.pids = make(map[string]int, len(st.Pids))
@@ -415,9 +522,9 @@ func (t *Tracer) restoreState(pl mem.PacketLookup, st tracerState) error {
 			t.nextTid[pid] = e.Tid + 1
 		}
 	}
-	t.spans = make(map[spanKey]*openSpan, len(st.Spans))
+	t.spans = make(map[spanKey]openSpan, len(st.Spans))
 	for _, s := range st.Spans {
-		t.spans[spanKey{s.Src, pl.PacketByRef(s.Pkt)}] = &openSpan{
+		t.spans[spanKey{s.Src, pl.PacketByRef(s.Pkt)}] = openSpan{
 			id: s.ID, queue: s.Queue, cmdSeen: s.CmdSeen,
 		}
 	}

@@ -243,8 +243,11 @@ func (s *stubRefs) PacketByRef(ref int) *mem.Packet {
 }
 
 // syntheticPhases returns two event batches: phase 1 leaves packet spans
-// open across the checkpoint boundary (the hard case — the restored tracer
-// must close them with the original span ids), phase 2 closes everything.
+// and a power-down interval open across the checkpoint boundary (the hard
+// case — the restored tracer must close them with the original span ids),
+// phase 2 closes everything and reuses tracks phase 1 created (bank r0b1,
+// queue.read), so a restored tracer with a stale or missing track would
+// write a duplicate thread_name line or a wrong tid.
 func syntheticPhases(pkts []*mem.Packet) (phase1, phase2 []obs.Event) {
 	us := func(n int64) sim.Tick { return sim.Tick(n) * sim.Microsecond }
 	phase1 = []obs.Event{
@@ -255,6 +258,7 @@ func syntheticPhases(pkts []*mem.Packet) (phase1, phase2 []obs.Event) {
 		obs.DRAMCommand{Src: "mc", Cmd: power.Command{Kind: power.CmdACT, At: us(3), Rank: 0, Bank: 1}},
 		obs.BurstScheduled{Src: "mc", At: us(4), Pkt: pkts[0], Read: true, Rank: 0, Bank: 1, Row: 7, DataEnd: us(5)},
 		obs.WriteDrainEnter{Src: "mc", At: us(6), QueueLen: 3},
+		obs.DRAMCommand{Src: "mc", Cmd: power.Command{Kind: power.CmdPDE, At: us(6), Rank: 1, Bank: power.PDActive}},
 	}
 	phase2 = []obs.Event{
 		obs.ResponseSent{Src: "mc", At: us(7), Pkt: pkts[0]},
@@ -265,6 +269,10 @@ func syntheticPhases(pkts []*mem.Packet) (phase1, phase2 []obs.Event) {
 		obs.ResponseSent{Src: "mc", At: us(13), Pkt: pkts[1]},
 		obs.QueueRefuse{Src: "xbar", At: us(14), Queue: obs.QueueRead, Depth: 16},
 		obs.ShardQuantumFlush{Src: "xbar", At: us(15), Shard: 1, Requests: 2, Responses: 1},
+		obs.DRAMCommand{Src: "mc", Cmd: power.Command{Kind: power.CmdPRE, At: us(16), Rank: 0, Bank: 1}},
+		obs.DRAMCommand{Src: "mc", Cmd: power.Command{Kind: power.CmdACT, At: us(17), Rank: 0, Bank: 1}},
+		obs.QueueAdmit{Src: "mc", At: us(18), Queue: obs.QueueRead, Depth: 0},
+		obs.DRAMCommand{Src: "mc", Cmd: power.Command{Kind: power.CmdPDX, At: us(19), Rank: 1}},
 	}
 	return phase1, phase2
 }
@@ -379,5 +387,38 @@ func TestHubOrNilAndCommandFunc(t *testing.T) {
 	h.Emit(obs.DRAMCommand{Src: "mc", Cmd: power.Command{Kind: power.CmdPRE, At: 7}})
 	if len(got) != 2 || got[0].Kind != power.CmdACT || got[1].Kind != power.CmdPRE {
 		t.Fatalf("CommandFunc saw %v", got)
+	}
+}
+
+// TestTracerSteadyStateZeroAlloc feeds a warmed tracer the event mix of one
+// closed-page write (admit, enqueue, ACT, WR burst with its firstCmd mark,
+// PRE, response) and drains it after every request: once its tracks exist
+// and both buffers have grown, rendering allocates nothing.
+func TestTracerSteadyStateZeroAlloc(t *testing.T) {
+	tr := obs.NewTracer(0)
+	pkt := &mem.Packet{Addr: 0x1f40, Size: 64}
+	const at = 50 * sim.Nanosecond
+	events := []obs.Event{
+		obs.QueueAdmit{Src: "mc", At: at, Queue: obs.QueueWrite, Depth: 3},
+		obs.PacketEnqueued{Src: "mc", At: at, Pkt: pkt, Queue: obs.QueueWrite, Bursts: 1},
+		obs.DRAMCommand{Src: "mc", Cmd: power.Command{Kind: power.CmdACT, At: at + 10, Rank: 0, Bank: 5}},
+		obs.DRAMCommand{Src: "mc", Cmd: power.Command{Kind: power.CmdWR, At: at + 20, Rank: 0, Bank: 5}},
+		obs.BurstScheduled{Src: "mc", At: at + 20, Pkt: pkt, Rank: 0, Bank: 5, Row: 812, DataEnd: at + 25},
+		obs.DRAMCommand{Src: "mc", Cmd: power.Command{Kind: power.CmdPRE, At: at + 40, Rank: 0, Bank: 5}},
+		obs.ResponseSent{Src: "mc", At: at + 30, Pkt: pkt},
+	}
+	cycle := func() {
+		for _, ev := range events {
+			tr.HandleEvent(ev)
+		}
+		if len(tr.TakePending()) == 0 {
+			t.Fatal("tracer rendered nothing")
+		}
+	}
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Fatalf("steady-state traced write allocates %.2f objects, want 0", avg)
 	}
 }
