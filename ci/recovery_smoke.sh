@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Recovery smoke test: a supervised dramctrl run is SIGKILLed mid-flight, then
 # resumed from its last periodic checkpoint; the resumed run's final JSON
-# statistics must be byte-identical to an uninterrupted reference run. A
+# statistics must be byte-identical to an uninterrupted reference run, and
+# resuming the finished run's completion checkpoint must leave them so. A
 # corrupted checkpoint must be rejected with a clean error, not a panic or a
 # silently wrong resume.
 set -euo pipefail
@@ -56,6 +57,18 @@ if ! cmp "$workdir/ref.json" "$workdir/resumed.json"; then
     exit 1
 fi
 echo "resumed run is byte-identical to the uninterrupted run"
+
+echo "== resume the finished run again: it must not step past its end"
+# The resumed run saved a checkpoint at its completion tick. Resuming that
+# checkpoint must report the same statistics, not advance another quantum.
+"$workdir/dramctrl" "${args[@]}" \
+    -checkpoint "$workdir/run.ckpt" -resume \
+    -json "$workdir/again.json" >/dev/null 2>"$workdir/again.log"
+if ! cmp "$workdir/ref.json" "$workdir/again.json"; then
+    echo "FAIL: resuming a completed run changed its statistics" >&2
+    exit 1
+fi
+echo "resuming the completed run leaves its statistics unchanged"
 
 echo "== corrupted checkpoint must fail cleanly"
 # Overwrite one byte in the middle of the body with a different value.

@@ -227,6 +227,11 @@ func (r *singleRig) Step() (bool, error) {
 	if r.startErr != nil {
 		return false, r.startErr
 	}
+	// A run restored from its completion checkpoint must not step past its
+	// recorded end (see system.Session.Step).
+	if r.done() && r.ctrl.Quiescent() {
+		return true, nil
+	}
 	if _, err := r.k.RunUntilErr(r.k.Now() + 10*sim.Microsecond); err != nil {
 		return false, err
 	}

@@ -116,7 +116,7 @@ func buildShardedRig(f shardedFlags, spec dram.Spec, mapping dram.Mapping, kind 
 // tracedSession wraps the rig session with the trace lifecycle: the header
 // on fresh start, a file flush after every quantum, and error propagation.
 type tracedSession struct {
-	*system.ShardedSession
+	*system.Session
 	tw       *obs.TraceWriter
 	sink     *obs.TraceSink
 	startErr error
@@ -128,7 +128,7 @@ func (s *tracedSession) Start() {
 		s.startErr = err
 		return
 	}
-	s.ShardedSession.Start()
+	s.Session.Start()
 }
 
 // Step implements supervisor.Session.
@@ -136,7 +136,7 @@ func (s *tracedSession) Step() (bool, error) {
 	if s.startErr != nil {
 		return false, s.startErr
 	}
-	done, err := s.ShardedSession.Step()
+	done, err := s.Session.Step()
 	if err != nil {
 		return done, err
 	}
@@ -214,7 +214,7 @@ func runSharded(f shardedFlags) error {
 		// The trace sink registers last: its save flushes every tracer, so
 		// the recorded file length covers all events up to the checkpoint.
 		sess.Manager().Register("trace", sink)
-		return &tracedSession{ShardedSession: sess, tw: tw, sink: sink}, nil
+		return &tracedSession{Session: sess, tw: tw, sink: sink}, nil
 	})
 	if err != nil {
 		return err

@@ -9,7 +9,7 @@ import (
 )
 
 func TestAllSpecsValidate(t *testing.T) {
-	for _, s := range AllSpecs() {
+	for _, s := range Presets() {
 		if err := s.Validate(); err != nil {
 			t.Errorf("%s: %v", s.Name, err)
 		}

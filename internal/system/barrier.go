@@ -274,30 +274,35 @@ func (b *barrier) stop() {
 }
 
 // share is the fixed subset of kernels one worker steps each quantum, with
-// the panics its last quantum recovered.
+// the panics and the first watchdog trip its last quantum recovered.
 type share struct {
 	kernels []*sim.Kernel
 	names   []string
 	panics  []ShardPanic
+	err     error
 }
 
 // run advances every kernel of the share to limit as worker j. It recovers
-// per kernel, not per share: a panicking shard must not stop the worker from
+// per kernel, not per share: a failing shard must not stop the worker from
 // finishing its remaining kernels, so the handoff always completes and the
 // pool stays in a defined state.
 func (sh *share) run(j int, limit sim.Tick) {
-	sh.panics = nil
+	sh.panics, sh.err = nil, nil
 	for i, k := range sh.kernels {
-		if pv := runShardKernel(k, limit); pv != nil {
+		pv, err := runShardKernel(k, limit)
+		if pv != nil {
 			sh.panics = append(sh.panics, ShardPanic{Worker: j, Kernel: sh.names[i], Value: pv})
+		}
+		if sh.err == nil {
+			sh.err = err
 		}
 	}
 }
 
 // runShardKernel advances one kernel to the barrier, translating a panic
 // into a returned value.
-func runShardKernel(k *sim.Kernel, limit sim.Tick) (pv any) {
+func runShardKernel(k *sim.Kernel, limit sim.Tick) (pv any, err error) {
 	defer func() { pv = recover() }()
-	k.RunUntil(limit)
-	return nil
+	_, err = k.RunUntilErr(limit)
+	return nil, err
 }

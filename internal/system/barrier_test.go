@@ -114,7 +114,7 @@ func waitGoroutines(t *testing.T, want int) {
 // Close stops every worker goroutine: on a session that never stepped,
 // after a shard panic, and when called twice.
 func TestShardedCloseReleasesWorkers(t *testing.T) {
-	open := func(t *testing.T) (*ShardedRig, *ShardedSession) {
+	open := func(t *testing.T) (*ShardedRig, *Session) {
 		t.Helper()
 		rig, err := NewShardedRig(shardedConfig(EventBased, 4, 4, false))
 		if err != nil {

@@ -102,39 +102,26 @@ func MatchedCycleConfig(spec dram.Spec, mapping dram.Mapping, channels int, clos
 	return cfg
 }
 
-// buildController constructs a controller of the requested kind with
-// matched policies.
-func buildController(k *sim.Kernel, kind Kind, spec dram.Spec, mapping dram.Mapping,
-	channels int, closedPage bool, reg *stats.Registry, name string) (Controller, error) {
+// buildController builds one channel controller of the requested kind with
+// matched policies; channels tells the address decoder how many channel bits
+// the crossbar consumes. tune, when set, adjusts the event-based
+// configuration before construction; hub observes the controller.
+func buildController(k *sim.Kernel, kind Kind, spec dram.Spec, mapping dram.Mapping, channels int,
+	closedPage bool, tune func(*core.Config), hub *obs.Hub, reg *stats.Registry, name string) (Controller, error) {
 	switch kind {
 	case EventBased:
-		return core.NewController(k, MatchedEventConfig(spec, mapping, channels, closedPage), reg, name)
-	case CycleBased:
-		return cyclesim.NewController(k, MatchedCycleConfig(spec, mapping, channels, closedPage), reg, name)
-	}
-	return nil, fmt.Errorf("system: unknown controller kind %d", kind)
-}
-
-// buildTunedController builds a rig controller, applying the rig's tuning
-// hooks to the matched configuration.
-func buildTunedController(k *sim.Kernel, rc RigConfig, reg *stats.Registry, name string) (Controller, error) {
-	switch rc.Kind {
-	case EventBased:
-		cfg := MatchedEventConfig(rc.Spec, rc.Mapping, 1, rc.ClosedPage)
-		if rc.TuneEvent != nil {
-			rc.TuneEvent(&cfg)
+		cfg := MatchedEventConfig(spec, mapping, channels, closedPage)
+		if tune != nil {
+			tune(&cfg)
 		}
-		cfg.Probes = rc.Probes
+		cfg.Probes = hub
 		return core.NewController(k, cfg, reg, name)
 	case CycleBased:
-		cfg := MatchedCycleConfig(rc.Spec, rc.Mapping, 1, rc.ClosedPage)
-		if rc.TuneCycle != nil {
-			rc.TuneCycle(&cfg)
-		}
-		cfg.Probes = rc.Probes
+		cfg := MatchedCycleConfig(spec, mapping, channels, closedPage)
+		cfg.Probes = hub
 		return cyclesim.NewController(k, cfg, reg, name)
 	}
-	return nil, fmt.Errorf("system: unknown controller kind %d", rc.Kind)
+	return nil, fmt.Errorf("system: unknown controller kind %d", kind)
 }
 
 // TrafficRig is a single generator driving a single controller — the
@@ -155,11 +142,10 @@ type RigConfig struct {
 	// Gen is the generator shape; Pattern supplies addresses.
 	Gen     trafficgen.Config
 	Pattern trafficgen.Pattern
-	// TuneEvent and TuneCycle optionally adjust the matched default
+	// TuneEvent optionally adjusts the matched default event-based
 	// controller configuration before construction (used by ablation
 	// studies and experiments that stress one policy knob).
 	TuneEvent func(*core.Config)
-	TuneCycle func(*cyclesim.Config)
 	// Probes feeds observability events from the controller (see
 	// internal/obs); nil or empty disables instrumentation.
 	Probes *obs.Hub
@@ -169,7 +155,8 @@ type RigConfig struct {
 func NewTrafficRig(cfg RigConfig) (*TrafficRig, error) {
 	k := sim.NewKernel()
 	reg := stats.NewRegistry("sys")
-	ctrl, err := buildTunedController(k, cfg, reg, "mc")
+	ctrl, err := buildController(k, cfg.Kind, cfg.Spec, cfg.Mapping, 1, cfg.ClosedPage,
+		cfg.TuneEvent, cfg.Probes, reg, "mc")
 	if err != nil {
 		return nil, err
 	}
@@ -184,23 +171,7 @@ func NewTrafficRig(cfg RigConfig) (*TrafficRig, error) {
 // Run starts the generator and steps the simulation until the generator
 // finishes and the controller drains, or until maxSim simulated time
 // passes. It reports whether the run completed.
-func (r *TrafficRig) Run(maxSim sim.Tick) bool {
-	r.Gen.Start()
-	deadline := r.K.Now() + maxSim
-	for r.K.Now() < deadline {
-		r.K.RunUntil(r.K.Now() + sim.Microsecond)
-		if r.Gen.Done() {
-			if !r.Ctrl.Quiescent() {
-				if d, ok := r.Ctrl.(Drainer); ok {
-					d.Drain()
-				}
-				continue
-			}
-			return true
-		}
-	}
-	return false
-}
+func (r *TrafficRig) Run(maxSim sim.Tick) bool { return run(r.NewSession("", r.K.Now()+maxSim)) }
 
 // MultiChannelRig is a generator (or several) behind a crossbar fanning out
 // to N channel controllers — the paper's Figure 1 topology and the HMC
@@ -233,19 +204,10 @@ func NewMultiChannelRig(cfg MultiChannelConfig) (*MultiChannelRig, error) {
 	}
 	k := sim.NewKernel()
 	reg := stats.NewRegistry("sys")
-	dec, err := dram.NewDecoder(cfg.Spec.Org, cfg.Mapping, cfg.Channels)
+	route, err := interleaveRoute(cfg.Spec, cfg.Mapping, cfg.Channels, maxRequestBytes(cfg.Gens))
 	if err != nil {
 		return nil, err
 	}
-	// Route at the mapping's interleave granularity, widened so no request
-	// straddles a channel (the paper's cache-line-or-page default, §II-F).
-	gran := dec.InterleaveBytes()
-	for _, g := range cfg.Gens {
-		for gran < g.RequestBytes {
-			gran *= 2
-		}
-	}
-	route := xbar.InterleaveRoute(cfg.Channels, gran)
 	xb, err := xbar.New(k, cfg.Xbar, route, reg, "xbar")
 	if err != nil {
 		return nil, err
@@ -253,65 +215,78 @@ func NewMultiChannelRig(cfg MultiChannelConfig) (*MultiChannelRig, error) {
 	rig := &MultiChannelRig{K: k, Reg: reg, Xbar: xb}
 	for i := 0; i < cfg.Channels; i++ {
 		ctrl, err := buildController(k, cfg.Kind, cfg.Spec, cfg.Mapping, cfg.Channels,
-			cfg.ClosedPage, reg, fmt.Sprintf("mc%d", i))
+			cfg.ClosedPage, nil, nil, reg, fmt.Sprintf("mc%d", i))
 		if err != nil {
 			return nil, err
 		}
 		mem.Connect(xb.AttachMemory("mem"), ctrl.Port())
 		rig.Ctrls = append(rig.Ctrls, ctrl)
 	}
-	for i := range cfg.Gens {
-		gen, err := trafficgen.New(k, cfg.Gens[i], cfg.Patterns[i], reg, fmt.Sprintf("gen%d", i))
-		if err != nil {
-			return nil, err
-		}
-		mem.Connect(gen.Port(), xb.AttachRequestor("gen"))
-		rig.Gens = append(rig.Gens, gen)
+	if rig.Gens, err = attachGens(k, xb, cfg.Gens, cfg.Patterns, reg); err != nil {
+		return nil, err
 	}
 	return rig, nil
 }
 
-// Run starts all generators and steps until done or the deadline.
-func (r *MultiChannelRig) Run(maxSim sim.Tick) bool {
-	for _, g := range r.Gens {
-		g.Start()
+// interleaveRoute routes across channels at the mapping's interleave
+// granularity, widened to at least minBytes so no request straddles a
+// channel (the paper's cache-line-or-page default, §II-F).
+func interleaveRoute(spec dram.Spec, mapping dram.Mapping, channels int, minBytes uint64) (xbar.Route, error) {
+	dec, err := dram.NewDecoder(spec.Org, mapping, channels)
+	if err != nil {
+		return nil, err
 	}
-	deadline := r.K.Now() + maxSim
-	for r.K.Now() < deadline {
-		r.K.RunUntil(r.K.Now() + sim.Microsecond)
-		allDone := true
-		for _, g := range r.Gens {
-			if !g.Done() {
-				allDone = false
-				break
-			}
-		}
-		if !allDone {
-			continue
-		}
-		quiet := r.Xbar.Quiescent() && r.Xbar.InFlight() == 0
-		for _, c := range r.Ctrls {
-			if !c.Quiescent() {
-				if d, ok := c.(Drainer); ok {
-					d.Drain()
-				}
-				quiet = false
-			}
-		}
-		if quiet {
-			return true
-		}
+	gran := dec.InterleaveBytes()
+	for gran < minBytes {
+		gran *= 2
 	}
-	return false
+	return xbar.InterleaveRoute(channels, gran), nil
 }
 
+func maxRequestBytes(gens []trafficgen.Config) uint64 {
+	var n uint64
+	for _, g := range gens {
+		n = max(n, g.RequestBytes)
+	}
+	return n
+}
+
+// attachGens builds one generator per config and pattern pair on k, each a
+// requestor of xb.
+func attachGens(k *sim.Kernel, xb *xbar.Crossbar, cfgs []trafficgen.Config, pats []trafficgen.Pattern,
+	reg *stats.Registry) ([]*trafficgen.Generator, error) {
+	gens := make([]*trafficgen.Generator, len(cfgs))
+	for i := range cfgs {
+		gen, err := trafficgen.New(k, cfgs[i], pats[i], reg, fmt.Sprintf("gen%d", i))
+		if err != nil {
+			return nil, err
+		}
+		mem.Connect(gen.Port(), xb.AttachRequestor("gen"))
+		gens[i] = gen
+	}
+	return gens, nil
+}
+
+// Run starts all generators and steps until done or the deadline.
+func (r *MultiChannelRig) Run(maxSim sim.Tick) bool { return run(r.NewSession("", r.K.Now()+maxSim)) }
+
 // AggregateBandwidth sums channel bandwidths.
-func (r *MultiChannelRig) AggregateBandwidth() float64 {
+func (r *MultiChannelRig) AggregateBandwidth() float64 { return sumBandwidth(r.Ctrls) }
+
+func sumBandwidth(ctrls []Controller) float64 {
 	var sum float64
-	for _, c := range r.Ctrls {
+	for _, c := range ctrls {
 		sum += c.Bandwidth()
 	}
 	return sum
+}
+
+func avgBusUtilisation(ctrls []Controller) float64 {
+	var sum float64
+	for _, c := range ctrls {
+		sum += c.BusUtilisation()
+	}
+	return sum / float64(len(ctrls))
 }
 
 // MultiCoreConfig shapes a FullSystem: cores with private L1s over a shared
@@ -361,21 +336,17 @@ func NewFullSystem(cfg MultiCoreConfig) (*FullSystem, error) {
 	// Memory side first: channels behind the memory crossbar, interleaved
 	// at the mapping granularity but never below the LLC line size (fills
 	// must not straddle channels).
-	dec, err := dram.NewDecoder(cfg.Spec.Org, cfg.Mapping, cfg.Channels)
+	route, err := interleaveRoute(cfg.Spec, cfg.Mapping, cfg.Channels, cfg.LLC.LineBytes)
 	if err != nil {
 		return nil, err
 	}
-	gran := dec.InterleaveBytes()
-	for gran < cfg.LLC.LineBytes {
-		gran *= 2
-	}
-	memXbar, err := xbar.New(k, cfg.MemXbar, xbar.InterleaveRoute(cfg.Channels, gran), reg, "memxbar")
+	memXbar, err := xbar.New(k, cfg.MemXbar, route, reg, "memxbar")
 	if err != nil {
 		return nil, err
 	}
 	for i := 0; i < cfg.Channels; i++ {
 		ctrl, err := buildController(k, cfg.Kind, cfg.Spec, cfg.Mapping, cfg.Channels,
-			cfg.ClosedPage, reg, fmt.Sprintf("mc%d", i))
+			cfg.ClosedPage, nil, nil, reg, fmt.Sprintf("mc%d", i))
 		if err != nil {
 			return nil, err
 		}
@@ -449,19 +420,7 @@ func (fs *FullSystem) AggregateIPC() float64 {
 }
 
 // MemBandwidth sums controller bandwidths.
-func (fs *FullSystem) MemBandwidth() float64 {
-	var sum float64
-	for _, c := range fs.Ctrls {
-		sum += c.Bandwidth()
-	}
-	return sum
-}
+func (fs *FullSystem) MemBandwidth() float64 { return sumBandwidth(fs.Ctrls) }
 
 // AvgBusUtilisation averages controller bus utilisation.
-func (fs *FullSystem) AvgBusUtilisation() float64 {
-	var sum float64
-	for _, c := range fs.Ctrls {
-		sum += c.BusUtilisation()
-	}
-	return sum / float64(len(fs.Ctrls))
-}
+func (fs *FullSystem) AvgBusUtilisation() float64 { return avgBusUtilisation(fs.Ctrls) }
