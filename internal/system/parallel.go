@@ -72,10 +72,11 @@ type ShardedConfig struct {
 	// AdaptiveQuanta widens the barrier quantum when the system is idle: a
 	// value Q > 1 lets Step advance up to Q*Lookahead per barrier, bounded
 	// by the earliest pending event plus the lookahead (see Session.horizon
-	// for the safety argument). 0 or 1 keeps the fixed quantum. The adaptive and
-	// fixed schedules are EACH deterministic and worker-count independent,
-	// but they differ from each other (barrier ticks shift event sequence
-	// numbers), so AdaptiveQuanta belongs in any checkpoint fingerprint.
+	// for the safety argument). 0 or 1 keeps the fixed quantum. The
+	// adaptive and fixed schedules are EACH deterministic and worker-count
+	// independent, but they differ from each other (barrier ticks shift
+	// event sequence numbers), so AdaptiveQuanta belongs in any checkpoint
+	// fingerprint.
 	AdaptiveQuanta int
 	// TuneEvent optionally adjusts the matched event-based controller
 	// configuration, as in RigConfig. Function-valued, so the fingerprint

@@ -56,8 +56,8 @@ type Session struct {
 }
 
 // newSession starts a session over an empty checkpoint manager; the rig's
-// NewSession registers its components through the add methods, in a fixed,
-// configuration-derived order, and finishes with open.
+// NewSession registers its components (addKernel, addFanout) in a fixed,
+// configuration-derived order and finishes with open.
 func newSession(fingerprint string, maxSim, quantum sim.Tick, quanta int) *Session {
 	return &Session{mgr: checkpoint.NewManager(fingerprint), deadline: maxSim, quantum: quantum, quanta: quanta}
 }
